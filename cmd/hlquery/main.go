@@ -1,28 +1,21 @@
 // Command hlquery answers exact distance queries against a prebuilt
-// index, in one of three modes:
+// index, in one of two modes:
 //
 //   - one-shot: hlquery -graph g.hwg -index g.hwg.idx -s 12 -t 34
 //   - REPL: hlquery -graph g.hwg -index g.hwg.idx  (reads "s t" lines from stdin)
-//   - HTTP: hlquery -graph g.hwg -index g.hwg.idx -serve :8080
-//     then GET /distance?s=12&t=34 returns {"s":12,"t":34,"distance":3}.
 //
-// The -serve mode is the same serving subsystem as hlserve (batch
-// endpoint, /stats counters, /healthz, graceful shutdown); hlserve adds
-// the offline batch/load pipelines.
+// To serve queries over HTTP or the binary protocol, use hlserve.
 package main
 
 import (
 	"bufio"
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"math"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"highway"
@@ -42,7 +35,6 @@ func run(args []string) error {
 		indexPath = fs.String("index", "", "index file (default: graph path + .idx)")
 		s         = fs.Int("s", -1, "one-shot: source vertex")
 		t         = fs.Int("t", -1, "one-shot: target vertex")
-		serve     = fs.String("serve", "", "HTTP listen address (e.g. :8080)")
 		stats     = fs.Bool("stats", false, "print index format and statistics, then exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -93,8 +85,6 @@ func run(args []string) error {
 			return err
 		}
 		return oneShot(ix, int32(*s), int32(*t))
-	case *serve != "":
-		return serveHTTP(ix, *serve)
 	default:
 		return repl(ix, g)
 	}
@@ -160,14 +150,4 @@ func repl(ix highway.DistanceIndex, g *highway.Graph) error {
 		fmt.Printf("%d  (%s)\n", d, time.Since(start))
 	}
 	return sc.Err()
-}
-
-// serveHTTP delegates to the shared serving subsystem so hlquery -serve
-// and hlserve expose one API instead of two drifting ones. Any method's
-// index serves (read-only) through the same machinery.
-func serveHTTP(ix highway.DistanceIndex, addr string) error {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	fmt.Printf("serving on %s (GET /distance?s=&t=, POST /distance/batch, GET /stats, GET /healthz)\n", addr)
-	return highway.NewServerFor(ix, highway.ServeConfig{}).ListenAndServe(ctx, addr)
 }

@@ -1,11 +1,11 @@
 // Command hlserve serves exact distance queries from a prebuilt highway
 // cover index, as a concurrent HTTP/JSON API, a binary wire protocol
 // (PROTOCOL.md) for native clients, or a high-throughput stdin/stdout
-// batch pipeline. The server is live: it accepts edge insertions (POST
-// /edges, or Insert frames on the binary listener) while serving reads
-// lock-free, optionally journalling them to a write-ahead edge log and
-// compacting the log via background rebuilds (see the "Live updates"
-// section of the README and DESIGN.md).
+// batch pipeline. The server is live: it accepts edge insertions and
+// deletions (POST and DELETE /edges, or Insert and Delete frames on the
+// binary listener) while serving reads lock-free, optionally journalling
+// them to a write-ahead edge log that background checkpoints compact
+// (see the "Live updates" section of the README and DESIGN.md).
 //
 // Usage:
 //
@@ -17,7 +17,6 @@
 //	hlserve load  -graph g.hwg -n 100000         # in-process load test: qps + p50/p90/p99
 //	hlserve load  -graph g.hwg -proto binary -batch 64   # ... through the wire protocol
 //	hlserve load  -graph g.hwg -parallel 1,2,4,8 -json BENCH_SERVE.json  # qps-vs-parallelism sweep
-//	hlserve load  -graph g.hwg -writeratio 0.01  # ... mixing writes into the reads
 //	hlserve load  -graph g.hwg -deleteratio 0.1  # trace-style churn: edge inserts + deletes mixed into the measured load, any -proto
 //	hlserve serve -graph g.hwg -read-budget 64   # bounded in-flight admission (shed with 429/Overloaded)
 //	hlserve load  -graph g.hwg -proto http -read-budget 2 -batch 1024 -parallel 8  # overload drill: shed accounting in the report
@@ -30,9 +29,9 @@
 // method's index — the file's method tag selects the decoder, and
 // serve's -method flag cross-checks it. Only the highway labelling
 // serves live updates; every other method serves read-only. With -wal,
-// serve prefers the compacted snapshot a previous run's rebuild
-// persisted next to the log, then replays the log, so restarts lose
-// nothing that was acknowledged.
+// serve prefers the snapshot a previous run's checkpoint persisted next
+// to the log, then replays the log, so restarts lose nothing that was
+// acknowledged.
 package main
 
 import (
@@ -141,8 +140,7 @@ func runServe(args []string, _ io.Reader, stdout, _ io.Writer) error {
 	binAddr := fs.String("binaddr", "", "binary wire protocol listen address (see PROTOCOL.md; empty = HTTP only)")
 	maxBatch := fs.Int("maxbatch", 0, "max pairs/edges per batch request (0 = default)")
 	walPath := fs.String("wal", "", "write-ahead edge log for durable updates (replayed on startup; empty = in-memory updates only)")
-	rebuildTh := fs.Int("rebuild-threshold", 0, "accepted edges triggering a background rebuild (0 = default, <0 = never)")
-	rebuildGrowth := fs.Float64("rebuild-growth", 0, "label-entry growth factor triggering a rebuild (0 = default, <=1 = never)")
+	checkpointTh := fs.Int("checkpoint-threshold", 0, "WAL length (records) triggering a checkpoint: persist the served snapshot and compact the log (0 = default, <0 = never)")
 	readonly := fs.Bool("readonly", false, "serve the index frozen, without the update API")
 	readBudget := fs.Int("read-budget", 0, "admission budget for in-flight read work, in cost units of 1 + pairs/1024 (0 = default, <0 = unlimited); over-budget requests are shed with 429/Overloaded")
 	writeBudget := fs.Int("write-budget", 0, "admission budget for in-flight insert work, same units as -read-budget (0 = default, <0 = unlimited)")
@@ -168,9 +166,8 @@ func runServe(args []string, _ io.Reader, stdout, _ io.Writer) error {
 		return fmt.Errorf("-replicate requires -wal (the generation file lives next to the log)")
 	}
 	cfg := serve.LiveConfig{
-		Config:           serve.Config{MaxBatch: *maxBatch, ReadBudget: *readBudget, WriteBudget: *writeBudget},
-		RebuildThreshold: *rebuildTh,
-		RebuildGrowth:    *rebuildGrowth,
+		Config:              serve.Config{MaxBatch: *maxBatch, ReadBudget: *readBudget, WriteBudget: *writeBudget},
+		CheckpointThreshold: *checkpointTh,
 	}
 	var shipper *cluster.Shipper
 	if *replicate != "" {
@@ -190,7 +187,7 @@ func runServe(args []string, _ io.Reader, stdout, _ io.Writer) error {
 	// against -method when given (serving a file under the wrong decoder
 	// must fail loudly, not mis-answer). The -wal restart path may
 	// legitimately run without the index file — serve.LoadLive prefers
-	// the compacted snapshot a previous rebuild persisted — so there the
+	// the snapshot a previous checkpoint persisted — so there the
 	// tag defaults to hl and is only sniffed when the file is present.
 	gp, ip, err := paths()
 	if err != nil {
@@ -220,7 +217,7 @@ func runServe(args []string, _ io.Reader, stdout, _ io.Writer) error {
 	switch {
 	case m.Name != "hl":
 		// Generic path: any method serves through the shared machinery.
-		// The WAL/rebuild pipeline is bound to the highway labelling's
+		// The WAL/checkpoint pipeline is bound to the highway labelling's
 		// files; a dynamic-method index (dynhl) still serves live via its
 		// frozen snapshot, every non-dynamic method serves read-only.
 		if *walPath != "" {
@@ -425,7 +422,6 @@ func runLoad(args []string, _ io.Reader, stdout, _ io.Writer) error {
 	n := fs.Int("n", 100_000, "total measured pairs per run (the paper samples 100,000)")
 	seed := fs.Int64("seed", 42, "workload seed")
 	workers := fs.Int("workers", 0, "concurrent load workers, each with its own connection and request queue (0 = all cores)")
-	writeRatio := fs.Float64("writeratio", 0, "fraction of reads paired with a random edge insertion (0 = read-only load; in-process only, needs an hl index)")
 	churn := fs.Float64("churn", 0, "fraction of requests preceded by one edge mutation through the target protocol (0 = read-only unless -deleteratio is set, which defaults this to 0.1; needs an hl index)")
 	deleteRatio := fs.Float64("deleteratio", 0, "fraction of churn mutations that delete a live edge instead of inserting (implies -churn 0.1 when churn is unset)")
 	skew := fs.Float64("skew", 0, "Zipf skew for churn insertion endpoints, >1 to enable (low vertex ids = hubs); uniform otherwise")
@@ -443,9 +439,6 @@ func runLoad(args []string, _ io.Reader, stdout, _ io.Writer) error {
 	// Everything that can be rejected before touching the index is
 	// rejected here: a bad flag combination must cost an error message,
 	// not an index load (on billion-edge graphs, minutes).
-	if *writeRatio < 0 || *writeRatio > 1 {
-		return fmt.Errorf("-writeratio must be in [0,1], got %g", *writeRatio)
-	}
 	if *churn < 0 || *churn > 1 {
 		return fmt.Errorf("-churn must be in [0,1], got %g", *churn)
 	}
@@ -454,9 +447,6 @@ func runLoad(args []string, _ io.Reader, stdout, _ io.Writer) error {
 	}
 	if *deleteRatio > 0 && *churn == 0 {
 		*churn = 0.1 // -deleteratio alone means "churn, a tenth of the requests"
-	}
-	if *churn > 0 && *writeRatio > 0 {
-		return fmt.Errorf("-churn/-deleteratio and -writeratio are mutually exclusive (churn supersedes the in-process write mix)")
 	}
 	if *proto != "inproc" && *proto != "http" && *proto != "binary" {
 		return fmt.Errorf("unknown -proto %q (want inproc, http or binary)", *proto)
@@ -472,24 +462,12 @@ func runLoad(args []string, _ io.Reader, stdout, _ io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *writeRatio > 0 {
-		if *proto != "inproc" {
-			return fmt.Errorf("-writeratio is an in-process measurement (got -proto %s)", *proto)
-		}
-		// Writes need the dynamic highway pipeline: sniffing the index
-		// file's method tag costs a header read, so the mismatch
-		// surfaces now rather than after loading the labelling.
-		tag, err := highway.SniffIndexMethod(ip)
-		if err != nil {
-			return err
-		}
-		if tag != "hl" {
-			return fmt.Errorf("-writeratio needs an hl index (method %q serves read-only)", tag)
-		}
-	}
 	if *churn > 0 {
 		// Churn mutates through the target protocol, so the self-hosted
 		// server must be live — which only the highway labelling can be.
+		// Sniffing the index file's method tag costs a header read, so
+		// the mismatch surfaces now rather than after loading the
+		// labelling.
 		tag, err := highway.SniffIndexMethod(ip)
 		if err != nil {
 			return err
@@ -510,24 +488,7 @@ func runLoad(args []string, _ io.Reader, stdout, _ io.Writer) error {
 		levels = []int{*workers}
 	}
 
-	if *writeRatio > 0 {
-		// Mixed read/write mode: a live in-memory server absorbing
-		// random insertions while the read pipeline hammers it, the
-		// serving-side equivalent of the FD comparison.
-		srv, err := serve.NewLive(ix.(*highway.Index), serve.LiveConfig{})
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		stats, err := srv.RunLoadMixed(io.Discard, *n, *seed, *workers, *writeRatio)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, "hlserve:", stats)
-		return nil
-	}
-
-	// Everything else goes through the percentile harness. The target is
+	// The percentile harness drives every load. The target is
 	// the in-process server, or a wire protocol — self-hosted on a
 	// loopback listener unless -target points at a running server, so a
 	// protocol-overhead comparison needs nothing but this one command.

@@ -150,8 +150,6 @@ func TestLoadFlagValidation(t *testing.T) {
 		want string
 	}{
 		{[]string{"load", "-graph", "nope.hwg", "-proto", "grpc"}, "-proto"},
-		{[]string{"load", "-graph", "nope.hwg", "-writeratio", "1.5"}, "-writeratio"},
-		{[]string{"load", "-graph", "nope.hwg", "-writeratio", "0.5", "-proto", "binary"}, "in-process"},
 		{[]string{"load", "-graph", "nope.hwg", "-batch", "0"}, "-batch"},
 		{[]string{"load", "-graph", "nope.hwg", "-parallel", "1,zero"}, "-parallel"},
 	} {
@@ -201,21 +199,6 @@ func TestMissingGraphFlag(t *testing.T) {
 		if err := run([]string{cmd}, nil, &out, io.Discard); err == nil {
 			t.Fatalf("%s without -graph: want error", cmd)
 		}
-	}
-}
-
-func TestMixedLoad(t *testing.T) {
-	gp := writeIndexedGraph(t)
-	var out bytes.Buffer
-	if err := run([]string{"load", "-graph", gp, "-n", "500", "-seed", "1", "-workers", "2", "-writeratio", "0.05"}, nil, &out, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "500 pairs") || !strings.Contains(out.String(), "writes") {
-		t.Fatalf("mixed load output %q lacks read/write stats", out.String())
-	}
-
-	if err := run([]string{"load", "-graph", gp, "-writeratio", "1.5"}, nil, &out, io.Discard); err == nil {
-		t.Fatal("want error for write ratio outside [0,1]")
 	}
 }
 
@@ -293,10 +276,10 @@ func TestServeMethodMismatch(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "hl index") {
 		t.Fatalf("err = %v, want the -wal/-method conflict", err)
 	}
-	// -writeratio load needs hl too.
-	err = run([]string{"load", "-graph", gp, "-index", ip, "-n", "10", "-writeratio", "0.5"},
+	// A churn load needs hl too.
+	err = run([]string{"load", "-graph", gp, "-index", ip, "-n", "10", "-churn", "0.5"},
 		nil, io.Discard, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "hl index") {
-		t.Fatalf("err = %v, want the -writeratio restriction", err)
+		t.Fatalf("err = %v, want the -churn restriction", err)
 	}
 }

@@ -11,11 +11,13 @@
 //     distances over GET /distance — reads stay lock-free against an
 //     atomically swapped snapshot;
 //
-//  3. force the staleness threshold, watch the background rebuild
-//     hot-swap a fresh index and compact the WAL (visible in /stats);
+//  3. cross the checkpoint threshold, so a background checkpoint
+//     persists the served snapshot and compacts the WAL (visible in
+//     /stats) — nothing is rebuilt, because every write already leaves
+//     the labelling exact;
 //
-//  4. restart the server and show that WAL replay reconstructs every
-//     acknowledged edge.
+//  4. restart the server and show that the checkpoint plus WAL replay
+//     reconstruct every acknowledged edge.
 //
 // Run with:
 //
@@ -64,14 +66,14 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Start a live server: durable updates, rebuild after 600 accepted
-	// edges (deliberately low so the example reaches the rebuild).
+	// Start a live server: durable updates, checkpoint once the WAL holds
+	// 600 records (deliberately low so the example reaches it).
 	startServer := func() (*highway.Server, string, context.CancelFunc) {
 		wal, err := highway.OpenWAL(walPath)
 		if err != nil {
 			log.Fatal(err)
 		}
-		srv, err := highway.NewLiveServer(ix, highway.LiveConfig{WAL: wal, RebuildThreshold: 600})
+		srv, err := highway.NewLiveServer(ix, highway.LiveConfig{WAL: wal, CheckpointThreshold: 600})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -138,20 +140,17 @@ func main() {
 		accepted, time.Since(start).Round(time.Millisecond))
 	fmt.Printf("after updates:  d(%d,%d) = %d (exact on the evolved graph)\n", s, t, getDistance(s, t))
 
-	// 1,000 accepted edges crossed the 600-edge staleness threshold, so
-	// a background rebuild is (or was) in flight: wait for it and show
-	// the lifecycle counters from /stats.
-	for srv.Rebuilding() {
-		time.Sleep(10 * time.Millisecond)
-	}
-	st := srv.LiveStats()
-	fmt.Printf("background rebuilds: %d (last took %.1fms); WAL compacted to %d records; snapshot epoch %d\n",
-		st.Rebuilds, st.LastRebuildMs, st.WALLen, st.Epoch)
-
-	// Kill and restart: the compacted snapshot + WAL replay reconstruct
-	// every acknowledged edge.
+	// Kill and restart. The 1,000 accepted edges crossed the 600-record
+	// checkpoint threshold; stopping waits for that checkpoint, so its
+	// counters (the same ones /stats shows) are final.
 	dBefore := getDistance(s, t)
 	stop()
+	st := srv.LiveStats()
+	fmt.Printf("checkpoints: %d (last took %.1fms); WAL compacted to %d records; snapshot epoch %d\n",
+		st.Checkpoints, st.LastCheckpointMs, st.WALLen, st.Epoch)
+
+	// The checkpoint's snapshot + WAL replay reconstruct every
+	// acknowledged edge.
 	srv2, err := highway.LoadLiveServer(graphPath, indexPath, walPath, highway.LiveConfig{})
 	if err != nil {
 		log.Fatal(err)

@@ -52,9 +52,10 @@
 // fallback for deletion batches that dirty too many landmarks) and
 // publish a fresh snapshot per batch. An optional write-ahead edge log
 // (OpenWAL) makes acknowledged writes crash-durable — deletions are
-// logged in the same file as one's-complement records — and a staleness
-// threshold triggers background full rebuilds that hot-swap in and
-// compact the log. See DESIGN.md for the architecture and lifecycle.
+// logged in the same file as one's-complement records — and once the log
+// reaches a length threshold a background checkpoint persists the served
+// snapshot next to it and compacts it. See DESIGN.md for the
+// architecture and lifecycle.
 //
 //	wal, _ := highway.OpenWAL("edges.wal")
 //	srv, _ := highway.NewLiveServer(ix, highway.LiveConfig{WAL: wal})
@@ -326,9 +327,8 @@ func Serve(ctx context.Context, ix *Index, addr string) error {
 }
 
 // LiveConfig tunes an updatable Server: the base ServeConfig plus the
-// write-ahead log and the staleness thresholds that trigger background
-// rebuilds. The zero value serves in-memory live updates with default
-// thresholds.
+// write-ahead log and the log length that triggers a checkpoint. The
+// zero value serves in-memory live updates.
 type LiveConfig = serve.LiveConfig
 
 // WAL is a write-ahead edge log: it makes acknowledged edge insertions
@@ -354,15 +354,15 @@ func OpenWAL(path string) (*WAL, error) { return serve.OpenWAL(path) }
 // NewLiveServer returns an updatable Server seeded from ix: reads are
 // answered lock-free from an immutable snapshot, InsertEdges and
 // DeleteEdges (POST and DELETE /edges) mutations publish fresh
-// snapshots, and accumulated drift triggers a background rebuild with
-// the direction-optimizing builder.
+// snapshots, and with a WAL a long log triggers a background checkpoint
+// of the served snapshot.
 // If cfg.WAL is set, previously logged edges are replayed before the
 // server starts answering. Call Server.Close on shutdown.
 func NewLiveServer(ix *Index, cfg LiveConfig) (*Server, error) { return serve.NewLive(ix, cfg) }
 
 // LoadLiveServer assembles a live server from files: the newest
-// persisted state (a rebuild's compacted snapshot next to the WAL if
-// present, else the base graph+index files), with the WAL replayed on
+// persisted state (a checkpoint's snapshot next to the WAL if present,
+// else the base graph+index files), with the WAL replayed on
 // top. This is the crash-recovery entry point behind "hlserve serve
 // -wal".
 func LoadLiveServer(graphPath, indexPath, walPath string, cfg LiveConfig) (*Server, error) {

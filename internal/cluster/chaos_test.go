@@ -80,12 +80,10 @@ func startPrimary(t *testing.T, ix *core.Index, walPath string, followers []stri
 	}
 	sh := NewShipper(ShipperConfig{Followers: followers, RetryInterval: 20 * time.Millisecond})
 	srv, err := serve.NewLive(ix, serve.LiveConfig{
-		Config:           serve.Config{ShutdownGrace: time.Second},
-		WAL:              wal,
-		RebuildThreshold: -1, // landmarks must stay fixed for the byte-identity check
-		RebuildGrowth:    1,
-		EpochBase:        EpochBase(gen),
-		OnCommit:         sh.OnCommit,
+		Config:    serve.Config{ShutdownGrace: time.Second},
+		WAL:       wal,
+		EpochBase: EpochBase(gen),
+		OnCommit:  sh.OnCommit,
 	})
 	if err != nil {
 		t.Fatal(err)

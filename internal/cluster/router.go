@@ -160,9 +160,29 @@ func (rt *Router) members() []*member {
 	return all
 }
 
-// healthLoop probes every member each interval: undailed members get a
-// dial attempt, dialed ones a ping, and the up bit tracks the result.
-// One slow member must not stall the others, so probes fan out.
+// ready probes one member with a Stats frame. The member is routable
+// when the frame answers and, if its stats carry a replication section,
+// once that section reports bootstrapped — the predicate /readyz
+// answers with. A follower still awaiting its first snapshot serves a
+// placeholder index, so it must get no reads.
+func ready(ctx context.Context, cl *hlclient.Client) bool {
+	raw, err := cl.Stats(ctx)
+	if err != nil {
+		return false
+	}
+	var doc struct {
+		Replication *serve.ReplicationStats `json:"replication"`
+	}
+	if json.Unmarshal(raw, &doc) != nil {
+		return false
+	}
+	return doc.Replication == nil || doc.Replication.Bootstrapped
+}
+
+// healthLoop probes every member each interval: undialed members get a
+// dial attempt, and every dialed member a readiness probe whose result
+// the up bit tracks. One slow member must not stall the others, so
+// probes fan out.
 func (rt *Router) healthLoop() {
 	defer rt.wg.Done()
 	probe := func() {
@@ -181,10 +201,9 @@ func (rt *Router) healthLoop() {
 						return
 					}
 					m.cl.Store(fresh)
-					m.up.Store(true)
-					return
+					cl = fresh
 				}
-				m.up.Store(cl.Ping(ctx) == nil)
+				m.up.Store(ready(ctx, cl))
 			}(m)
 		}
 		wg.Wait()

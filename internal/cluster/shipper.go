@@ -250,9 +250,10 @@ func (sh *Shipper) shipOne(l *followerLink, msg shipMsg) {
 // above it). Returns false when the transfer failed and the caller
 // should back off.
 func (sh *Shipper) doResync(l *followerLink) bool {
-	// Clear the flag BEFORE freezing: a batch dropped after this point
-	// re-flags the link, and FrozenState below is serialized with the
-	// commit that dropped it, so re-running the resync covers it.
+	// Clear the flag BEFORE reading the state: a batch dropped after
+	// this point re-flags the link, and FrozenState below is serialized
+	// with the commit that dropped it, so re-running the resync covers
+	// it.
 	l.needResync.Store(false)
 	g, ix, epoch, err := sh.srv.FrozenState()
 	if err != nil {

@@ -2,8 +2,8 @@
 // tier: named points in production code where tests (or an operator
 // running a chaos drill) can inject failures — an error return, a
 // delay, a panic, or a bounded burst of errors — without touching the
-// code under test. The WAL, the snapshot writer, the background
-// rebuild and the binary listener all evaluate failpoints on their
+// code under test. The WAL, the snapshot writer, the query path and
+// the binary listener all evaluate failpoints on their
 // failure-prone paths; see DESIGN.md "Failure modes & degraded
 // operation" for the site list.
 //
@@ -25,7 +25,7 @@
 // HIGHWAY_FAILPOINTS environment variable, a semicolon-separated list
 // of name=spec entries:
 //
-//	HIGHWAY_FAILPOINTS='wal.sync=3*error(injected);serve.rebuild=delay(50ms)'
+//	HIGHWAY_FAILPOINTS='wal.sync=3*error(injected);serve.snapshot.write=delay(50ms)'
 //
 // # Spec grammar
 //

@@ -27,10 +27,6 @@ func liveTestServer(t *testing.T) (*serve.Server, int) {
 	}
 	srv, err := serve.NewLive(ix, serve.LiveConfig{
 		Config: serve.Config{ShutdownGrace: time.Second},
-		// Low threshold: the churn should drive background rebuilds
-		// (snapshot swaps) under the measured load.
-		RebuildThreshold: 20,
-		RebuildWorkers:   2,
 	})
 	if err != nil {
 		t.Fatal(err)

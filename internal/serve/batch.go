@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"runtime"
 	"strconv"
 	"sync/atomic"
@@ -20,7 +19,7 @@ import (
 // end of the stream.
 const batchChunk = 1024
 
-// BatchStats summarizes one RunBatch/RunLoad execution.
+// BatchStats summarizes one RunBatch execution.
 type BatchStats struct {
 	Pairs   int64
 	Elapsed time.Duration
@@ -44,77 +43,8 @@ func (b BatchStats) String() string {
 // HTTP API without per-request dispatch.
 func (s *Server) RunBatch(r io.Reader, w io.Writer, workers int) (BatchStats, error) {
 	return s.runPipeline(w, workers, func(emit func(workload.Pair) error) error {
-		return workload.ReadPairs(r, int(s.n.Load()), emit)
+		return workload.ReadPairs(r, int(s.snap.Load().n), emit)
 	})
-}
-
-// RunLoad is RunBatch fed by the workload generator instead of a
-// reader: count uniform random pairs from the given seed, for
-// deterministic load tests straight from the binary.
-func (s *Server) RunLoad(w io.Writer, count int, seed int64, workers int) (BatchStats, error) {
-	return s.runPipeline(w, workers, func(emit func(workload.Pair) error) error {
-		st := workload.NewStreamN(int(s.n.Load()), seed)
-		for i := 0; i < count; i++ {
-			if err := emit(st.Next()); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// MixedStats summarizes one RunLoadMixed execution: the read-side
-// BatchStats plus the write traffic interleaved with it.
-type MixedStats struct {
-	BatchStats
-	Writes   int64  // InsertEdges batches issued (one edge each)
-	Inserted int64  // edges that were actually new
-	Epoch    uint64 // snapshot epoch after the run
-}
-
-func (m MixedStats) String() string {
-	return fmt.Sprintf("%s; %d writes (%d new edges), epoch %d",
-		m.BatchStats, m.Writes, m.Inserted, m.Epoch)
-}
-
-// RunLoadMixed is RunLoad with writes mixed in: for every read emitted,
-// an edge insertion is issued with probability writeRatio (deterministic
-// per seed), exercising snapshot swaps under read load. The server must
-// be live (NewLive/LoadLive). Distances are written to w in input
-// order; note that with concurrent snapshot swaps the distance printed
-// for a pair depends on which snapshot its worker holds, so only the
-// read *throughput* is deterministic, not the byte output.
-func (s *Server) RunLoadMixed(w io.Writer, count int, seed int64, workers int, writeRatio float64) (MixedStats, error) {
-	if s.up == nil {
-		return MixedStats{}, ErrReadOnly
-	}
-	if writeRatio < 0 || writeRatio > 1 {
-		return MixedStats{}, fmt.Errorf("serve: write ratio %v outside [0,1]", writeRatio)
-	}
-	var mixed MixedStats
-	n := int32(s.n.Load())
-	rng := rand.New(rand.NewSource(seed ^ 0x6c69_7665)) // distinct stream from the read workload
-	bs, err := s.runPipeline(w, workers, func(emit func(workload.Pair) error) error {
-		st := workload.NewStreamN(int(s.n.Load()), seed)
-		for i := 0; i < count; i++ {
-			if rng.Float64() < writeRatio {
-				a, b := rng.Int31n(n), rng.Int31n(n)
-				res, err := s.InsertEdges([][2]int32{{a, b}})
-				if err != nil {
-					return err
-				}
-				mixed.Writes++
-				mixed.Inserted += int64(res.Inserted)
-			}
-			if err := emit(st.Next()); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	mixed.BatchStats = bs
-	mixed.Epoch = s.Epoch()
-	return mixed, err
 }
 
 // batchJob carries one chunk through the pipeline. done is buffered so a

@@ -218,7 +218,7 @@ func TestInsertEndpointTrailingOverCap(t *testing.T) {
 // are shape and plausibility, not exact values.
 func TestBatchRaceWithInserts(t *testing.T) {
 	g, _, ix := liveBase(t, 300, 8)
-	s, err := NewLive(ix, LiveConfig{RebuildThreshold: -1})
+	s, err := NewLive(ix, LiveConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"highway/internal/failpoint"
-	"highway/internal/method"
 	"highway/internal/wire"
 )
 
@@ -210,21 +209,20 @@ func (s *Server) serveBinaryConn(ctx context.Context, c net.Conn) {
 					fmt.Sprintf("batch of %d pairs exceeds limit %d", len(pairs), s.cfg.MaxBatch))
 				break
 			}
-			if bad, verr := s.checkPairs(pairs); verr != nil {
-				respType, scratch = wire.TError, wire.AppendError(scratch, wire.CodeRange,
-					fmt.Sprintf("pair %d: %v", bad, verr))
-				break
-			}
 			// One searcher for the whole batch, exactly like the HTTP
 			// batch endpoint: one consistent snapshot, amortized
 			// checkout, vectorized execution when the method provides
 			// it. Shutdown cancels the remaining pairs via ctx.
 			var qerr error
-			dists, qerr = s.distanceBatchConn(ctx, pairs, dists)
+			dists, qerr = s.DistanceBatchContext(ctx, pairs, dists)
+			if errors.Is(qerr, errOutOfRange) {
+				respType, scratch = wire.TError, wire.AppendError(scratch, wire.CodeRange, qerr.Error())
+				break
+			}
 			if qerr != nil {
-				// Only ctx cancellation reaches here (size and range
-				// were validated above): the server is shutting down and
-				// the answers are incomplete, so drop the connection.
+				// Only ctx cancellation reaches here (the size was
+				// validated above): the server is shutting down and the
+				// answers are incomplete, so drop the connection.
 				g.release(cost)
 				return
 			}
@@ -353,31 +351,6 @@ func (s *Server) writeBinaryFrame(w *wire.Writer, t wire.Type, payload []byte) e
 		return err
 	}
 	return w.WriteFrame(t, payload)
-}
-
-// distanceBatchConn answers an already-validated batch against the
-// current snapshot under the connection's context: the binary frame
-// handler has checked size and vertex ranges, so the only error is
-// cancellation.
-func (s *Server) distanceBatchConn(ctx context.Context, pairs [][2]int32, dst []int32) ([]int32, error) {
-	sn, sr := s.acquire()
-	dst, err := method.DistanceBatchContext(ctx, sr, pairs, dst)
-	s.release(sn, sr)
-	return dst, err
-}
-
-// checkPairs validates every endpoint of a pair batch, returning the
-// index of the first bad pair.
-func (s *Server) checkPairs(pairs [][2]int32) (int, error) {
-	for i, p := range pairs {
-		if err := s.checkVertex(p[0]); err != nil {
-			return i, err
-		}
-		if err := s.checkVertex(p[1]); err != nil {
-			return i, err
-		}
-	}
-	return -1, nil
 }
 
 // appendMutationError maps the mutation error taxonomy (shared by

@@ -41,10 +41,10 @@ import (
 // chaosPoints is the failpoint schedule space: each iteration arms a
 // random subset with small fail-N-times error budgets (plus occasional
 // fsync delays), so faults are transient and the server must come back
-// through the degraded-mode probe / rebuild-retry machinery on its own.
+// through the degraded-mode probe and the checkpoint retry on its own.
 var chaosPoints = []string{
 	FPWALSync, FPWALAppend, FPWALAppendShort,
-	FPRebuild, FPSnapshotWrite, FPWALCompact,
+	FPSnapshotWrite, FPWALCompact,
 }
 
 func armChaos(t *testing.T, rng *rand.Rand) {
@@ -228,22 +228,17 @@ func TestChaosCrashRestartDurability(t *testing.T) {
 			rng := rand.New(rand.NewSource(0x9E3779B9*int64(it) + 12345))
 			walPath := filepath.Join(dir, fmt.Sprintf("chaos-%03d.wal", it))
 
-			// A quarter of the iterations run with an aggressive rebuild
-			// threshold so compaction and snapshot persistence are in the
-			// blast radius too; the rest disable rebuilds entirely, which
-			// is what makes the byte-exact WAL prediction valid for them.
-			rebuildOn := rng.Intn(4) == 0
-			cfg := LiveConfig{
-				DegradedProbeInterval: 2 * time.Millisecond,
-				RebuildRetryBase:      2 * time.Millisecond,
-				RebuildRetryMax:       8 * time.Millisecond,
-				RebuildWorkers:        1,
-			}
-			if rebuildOn {
-				cfg.RebuildThreshold = 8 + rng.Intn(16)
+			// A quarter of the iterations run with an aggressive
+			// checkpoint threshold so compaction and snapshot persistence
+			// are in the blast radius too; the rest disable checkpoints
+			// entirely, which is what makes the byte-exact WAL prediction
+			// valid for them.
+			checkpointOn := rng.Intn(4) == 0
+			cfg := LiveConfig{DegradedProbeInterval: 2 * time.Millisecond}
+			if checkpointOn {
+				cfg.CheckpointThreshold = 8 + rng.Intn(16)
 			} else {
-				cfg.RebuildThreshold = -1
-				cfg.RebuildGrowth = 1 // disabled
+				cfg.CheckpointThreshold = -1
 			}
 
 			// acked accumulates every op batch the server acknowledged,
@@ -279,7 +274,7 @@ func TestChaosCrashRestartDurability(t *testing.T) {
 						}
 					}
 					if rng.Intn(3) == 0 {
-						// Let the recovery probe / rebuild retry fire.
+						// Let the recovery probe / a checkpoint run.
 						time.Sleep(time.Duration(1+rng.Intn(4)) * time.Millisecond)
 					}
 				}
@@ -304,7 +299,7 @@ func TestChaosCrashRestartDurability(t *testing.T) {
 			// vanished or a delete that was forgotten shows up right
 			// there) and on random pairs (catches smuggled un-acked
 			// writes anywhere in the graph).
-			ref, err := NewLive(ix, LiveConfig{RebuildThreshold: -1, RebuildGrowth: 1})
+			ref, err := NewLive(ix, LiveConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -339,7 +334,7 @@ func TestChaosCrashRestartDurability(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !rebuildOn {
+			if !checkpointOn {
 				if want := expectedWALBytes(acked); !bytes.Equal(logBytes, want) {
 					t.Fatalf("WAL is not byte-identical to the acked history: %d bytes on disk, want %d (%d acked edges)",
 						len(logBytes), len(want), len(acked))

@@ -14,8 +14,8 @@ import (
 )
 
 // TestLiveConcurrentChurnHTTP drives POST /edges, DELETE /edges and
-// POST /distance/batch concurrently against background-rebuild snapshot
-// swaps — the schedule the race detector needs to see. Unlike the
+// POST /distance/batch concurrently against per-write snapshot swaps
+// and background checkpoints — the schedule the race detector needs to see. Unlike the
 // insert-only stress test there is no monotonic-distance invariant
 // (deletions legitimately raise distances), so the invariants here are:
 //
@@ -34,9 +34,10 @@ func TestLiveConcurrentChurnHTTP(t *testing.T) {
 	g, _, ix := liveBase(t, nVertices, 8)
 	graphPath, indexPath, _ := saveBase(t, g, ix)
 	walPath := filepath.Join(t.TempDir(), "churn.wal")
-	// Threshold low enough that the churn triggers background rebuilds
-	// (and WAL compactions) while the writers and readers are live.
-	srv, err := LoadLive(graphPath, indexPath, walPath, LiveConfig{RebuildThreshold: 30, RebuildWorkers: 2})
+	// Threshold low enough that the churn triggers checkpoints (snapshot
+	// persists and WAL compactions) while the writers and readers are
+	// live.
+	srv, err := LoadLive(graphPath, indexPath, walPath, LiveConfig{CheckpointThreshold: 30})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -42,7 +44,7 @@ func TestDegradedReadOnlyUnderFsyncFailure(t *testing.T) {
 	}
 	s, err := NewLive(ix, LiveConfig{
 		WAL:                   wal,
-		RebuildThreshold:      -1, // isolate degradation from rebuilds
+		CheckpointThreshold:   -1, // isolate degradation from checkpoints
 		DegradedProbeInterval: 10 * time.Millisecond,
 	})
 	if err != nil {
@@ -172,58 +174,68 @@ func TestDegradedReadOnlyUnderFsyncFailure(t *testing.T) {
 	}
 }
 
-// TestRebuildRetryBackoff pins the rebuild failure policy: a failing
-// background rebuild keeps the old snapshot serving, schedules retries
-// with backoff instead of refiring on every write, and eventually
-// succeeds once the fault clears — all visible in LiveStats.
-func TestRebuildRetryBackoff(t *testing.T) {
+// TestCheckpointPersistFailureRetries pins the checkpoint failure
+// policy: a failed snapshot persist leaves the WAL uncompacted and the
+// served state untouched, the next attempt waits until the log has
+// grown by another threshold (no retry storm, no timer), and that
+// attempt succeeds once the fault clears.
+func TestCheckpointPersistFailureRetries(t *testing.T) {
 	defer failpoint.Reset()
-	_, _, ix := liveBase(t, 300, 6)
-	s, err := NewLive(ix, LiveConfig{
-		RebuildThreshold: 4,
-		RebuildRetryBase: 10 * time.Millisecond,
-		RebuildRetryMax:  40 * time.Millisecond,
-	})
+	g, _, ix := liveBase(t, 300, 6)
+	graphPath, indexPath, walPath := saveBase(t, g, ix)
+	s, err := LoadLive(graphPath, indexPath, walPath, LiveConfig{CheckpointThreshold: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	if err := failpoint.Set(FPSnapshotWrite, "1*error(disk full)"); err != nil {
+		t.Fatal(err)
+	}
+	insert := func(lo, hi int32) {
+		t.Helper()
+		for i := lo; i < hi; i++ {
+			if _, err := s.InsertEdges([][2]int32{{i, 150 + i}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	pairs := workload.RandomPairs(g, 100, 4)
+	distances := func() []int32 {
+		out := make([]int32, len(pairs))
+		for i, p := range pairs {
+			d, err := s.Distance(p.S, p.T)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = d
+		}
+		return out
+	}
 
-	// The first two rebuild attempts die at the failpoint, the third
-	// succeeds via the retry timer with no further writes arriving.
-	if err := failpoint.Set(FPRebuild, "2*error(build exploded)"); err != nil {
-		t.Fatal(err)
+	insert(0, 4) // reaches the threshold: the checkpoint fails
+	epoch, before := s.Epoch(), distances()
+	waitFor(t, 10*time.Second, "the failed checkpoint", func() bool { return s.LiveStats().CheckpointErrors == 1 })
+	if st := s.LiveStats(); st.WALLen != 4 || st.Checkpoints != 0 {
+		t.Fatalf("after a failed persist: %+v, want the 4-record log kept and no checkpoint", st)
 	}
-	edges := make([][2]int32, 0, 4)
-	for i := int32(0); i < 4; i++ {
-		edges = append(edges, [2]int32{i, 150 + i})
+	if _, err := os.Stat(walPath + ".snap"); !os.IsNotExist(err) {
+		t.Fatalf("failed persist left a snapshot behind: %v", err)
 	}
-	if _, err := s.InsertEdges(edges); err != nil {
-		t.Fatal(err)
+	if got := distances(); s.Epoch() != epoch || !slices.Equal(got, before) {
+		t.Fatal("a failed checkpoint changed what readers see")
 	}
-	waitFor(t, 10*time.Second, "rebuild to succeed after retries", func() bool {
-		st := s.LiveStats()
-		return st.Rebuilds == 1 && !st.Rebuilding
-	})
-	st := s.LiveStats()
-	if st.RebuildErrors != 2 {
-		t.Fatalf("RebuildErrors = %d, want 2", st.RebuildErrors)
+
+	insert(4, 7) // 7 < 4+4: no retry yet
+	if !checkpointIdle(s) || s.LiveStats().CheckpointErrors != 1 || s.LiveStats().Checkpoints != 0 {
+		t.Fatalf("checkpoint retried before the log grew another threshold: %+v", s.LiveStats())
 	}
-	if st.RebuildFails != 0 {
-		t.Fatalf("RebuildFails = %d after success, want 0", st.RebuildFails)
+	insert(7, 8) // 8: retry, and the fault has cleared
+	waitFor(t, 10*time.Second, "the retried checkpoint", func() bool { return s.LiveStats().Checkpoints == 1 })
+	if st := s.LiveStats(); st.WALLen != 0 || st.CheckpointErrors != 1 {
+		t.Fatalf("after the retry: %+v, want a compacted log", st)
 	}
-	// The failpoint fired exactly its budgeted 2 times (hits stop
-	// counting once a fail-N-times point exhausts), so the success came
-	// from the third attempt.
-	if failpoint.Hits(FPRebuild) != 2 {
-		t.Fatalf("injected failures = %d, want 2", failpoint.Hits(FPRebuild))
-	}
-	// Reads and writes kept working the whole time.
-	if _, err := s.Distance(0, 150); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.InsertEdges([][2]int32{{9, 199}}); err != nil {
-		t.Fatal(err)
+	if _, err := os.Stat(walPath + ".snap"); err != nil {
+		t.Fatalf("retried checkpoint persisted no snapshot: %v", err)
 	}
 }
 

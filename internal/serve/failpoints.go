@@ -21,12 +21,8 @@ const (
 	// intact.
 	FPWALCompact = "wal.compact"
 	// FPSnapshotWrite fires at the start of writeSnapshot, failing the
-	// snapshot persistence step of a background rebuild.
+	// persist step of a checkpoint: the log is left uncompacted.
 	FPSnapshotWrite = "serve.snapshot.write"
-	// FPRebuild fires at the start of a background rebuild, before any
-	// work: the rebuild fails, the old snapshot keeps serving, and the
-	// retry/backoff machinery takes over.
-	FPRebuild = "serve.rebuild"
 	// FPBinWrite fires before each binary-listener frame write,
 	// simulating a broken client connection mid-response.
 	FPBinWrite = "serve.bin.write"

@@ -167,14 +167,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) (int64, boo
 			writeError(w, http.StatusBadRequest, "pair %d: want [s,t], got %d elements", i, len(p))
 			return 0, true
 		}
-		if err := s.checkVertex(p[0]); err != nil {
-			writeError(w, http.StatusBadRequest, "pair %d: %v", i, err)
-			return 0, true
-		}
-		if err := s.checkVertex(p[1]); err != nil {
-			writeError(w, http.StatusBadRequest, "pair %d: %v", i, err)
-			return 0, true
-		}
 		pairs[i] = [2]int32{p[0], p[1]}
 	}
 	// One searcher answers the whole batch through the snapshot's best
@@ -184,10 +176,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) (int64, boo
 	// mid-request. The request context cancels an abandoned batch — a
 	// disconnected client stops burning CPU within ~1k pairs.
 	distances, err := s.DistanceBatchContext(r.Context(), pairs, nil)
+	if errors.Is(err, errOutOfRange) {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return 0, true
+	}
 	if err != nil {
 		// Cancellation: the client is gone (or the server is shutting
-		// down), so there is nobody to answer. Validation already passed,
-		// so no other error is possible here.
+		// down), so there is nobody to answer.
 		return 0, true
 	}
 	writeJSON(w, http.StatusOK, batchResponse{Count: len(distances), Distances: distances})
@@ -332,9 +327,10 @@ type indexStats struct {
 // statsDoc builds the stats document served by GET /stats and, via the
 // binary listener, by Stats request frames — one shape, two protocols.
 func (s *Server) statsDoc() statsResponse {
-	st := s.snap.Load().ix.Stats()
+	sn := s.snap.Load()
+	st := sn.ix.Stats()
 	return statsResponse{
-		Epoch:       s.Epoch(),
+		Epoch:       sn.epoch,
 		Live:        s.LiveStats(),
 		Replication: s.replicationStats(),
 		Admission:   s.AdmissionStats(),

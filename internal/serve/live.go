@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bufio"
-	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -18,43 +17,28 @@ import (
 )
 
 // LiveConfig tunes an updatable Server. The zero value serves live
-// updates in memory only (no WAL, default rebuild thresholds).
+// updates in memory only (no WAL, so nothing to checkpoint).
 type LiveConfig struct {
 	Config
 
 	// WAL, when non-nil, makes accepted writes durable: every batch is
-	// appended (one fsync per request) before it is applied, and the
-	// background rebuild persists a compacted snapshot next to the log.
-	// The server owns the WAL once passed in and closes it in Close.
+	// appended (one fsync per request) before it is applied, and a
+	// background checkpoint persists the served snapshot next to the
+	// log and compacts it. The server owns the WAL once passed in and
+	// closes it in Close.
 	WAL *WAL
 
-	// RebuildThreshold is the number of accepted edges since the last
-	// full rebuild (equivalently, the WAL length) that triggers a
-	// background rebuild + compaction. 0 means DefaultRebuildThreshold;
-	// negative disables the count trigger.
-	RebuildThreshold int
-
-	// RebuildGrowth triggers a rebuild when the labelling has grown past
-	// this factor of its entry count at the last rebuild (drift measured
-	// in label entries, the paper's size(L)). 0 means
-	// DefaultRebuildGrowth; values ≤ 1 disable the growth trigger.
-	RebuildGrowth float64
-
-	// RebuildWorkers is the worker count for the background
-	// direction-optimizing build (0 = GOMAXPROCS).
-	RebuildWorkers int
+	// CheckpointThreshold is the WAL length (in records) that triggers
+	// a background checkpoint: the published graph+index is persisted
+	// next to the log and the log compacted to the ops acked since.
+	// 0 means DefaultCheckpointThreshold; negative never checkpoints.
+	// Without a WAL there is nothing to checkpoint.
+	CheckpointThreshold int
 
 	// DegradedProbeInterval is how often a degraded server probes the
 	// WAL (an fsync of the open log) to decide whether writes can be
 	// re-enabled. 0 means DefaultDegradedProbeInterval.
 	DegradedProbeInterval time.Duration
-
-	// RebuildRetryBase and RebuildRetryMax bound the exponential backoff
-	// between retries of a failed background rebuild: the first retry
-	// fires after Base, each consecutive failure doubles the wait, capped
-	// at Max. Zeros mean DefaultRebuildRetryBase/DefaultRebuildRetryMax.
-	RebuildRetryBase time.Duration
-	RebuildRetryMax  time.Duration
 
 	// EpochBase seeds the snapshot epoch counter. A replicating primary
 	// passes its persisted generation shifted into the high 32 bits
@@ -67,29 +51,20 @@ type LiveConfig struct {
 	// OnCommit, when non-nil, is called after every accepted write
 	// batch, with the epoch it became visible at, while the writer lock
 	// is still held — calls arrive strictly in epoch order and before
-	// the write is acknowledged. It must not block (the cluster shipper
-	// enqueues and returns) and must not call back into the server's
-	// write path.
+	// the write is acknowledged. Writes are the only thing that moves
+	// the epoch, so the last epoch OnCommit saw is always Epoch(). It
+	// must not block (the cluster shipper enqueues and returns) and
+	// must not call back into the server's write path.
 	OnCommit func(epoch uint64, ops []dynhl.Op)
 }
 
-// DefaultRebuildThreshold is the accepted-edge count that triggers a
-// background rebuild when LiveConfig.RebuildThreshold is zero.
-const DefaultRebuildThreshold = 8192
-
-// DefaultRebuildGrowth is the label-entry growth factor that triggers a
-// background rebuild when LiveConfig.RebuildGrowth is zero.
-const DefaultRebuildGrowth = 1.5
+// DefaultCheckpointThreshold is the WAL length that triggers a
+// checkpoint when LiveConfig.CheckpointThreshold is zero.
+const DefaultCheckpointThreshold = 8192
 
 // DefaultDegradedProbeInterval is how often a degraded server re-probes
 // its WAL when LiveConfig.DegradedProbeInterval is zero.
 const DefaultDegradedProbeInterval = 250 * time.Millisecond
-
-// Default rebuild-retry backoff bounds (LiveConfig.RebuildRetryBase/Max).
-const (
-	DefaultRebuildRetryBase = time.Second
-	DefaultRebuildRetryMax  = time.Minute
-)
 
 // ErrReadOnly is returned by InsertEdges on a server built with New.
 var ErrReadOnly = errors.New("serve: read-only server (built without NewLive)")
@@ -149,24 +124,25 @@ type updater struct {
 	dyn *dynhl.Index
 	wal *WAL // nil when running without durability
 
-	// lastGraph is the frozen graph of the newest published snapshot;
-	// the background rebuild runs the full builder over it.
-	lastGraph *graph.Graph
+	// published is the index of the newest published snapshot (its
+	// graph is published.Graph()): what a checkpoint persists and what
+	// FrozenState hands a resyncing follower.
+	published *core.Index
 
-	// sinceRebuild counts accepted edges since the last completed
-	// rebuild/compaction (== WAL length when a WAL is configured).
-	sinceRebuild int
-	// baseEntries is size(L) at the last completed rebuild, the
-	// denominator of the growth trigger.
-	baseEntries int64
-	// delta collects op batches accepted while a rebuild is in flight;
-	// they are replayed onto the fresh index before it is published.
-	delta      []dynhl.Op
-	rebuilding bool
-	closed     bool
-	wg         sync.WaitGroup // in-flight rebuild + recovery-probe goroutines
-	// closeCh is closed by Close; the recovery probe and the rebuild
-	// retry timer select on it so shutdown never waits out a backoff.
+	// checkpointAt is the WAL length that starts the next checkpoint,
+	// 0 when checkpoints are off (no WAL, or a negative threshold).
+	// After a failed checkpoint it moves a further threshold past the
+	// length at failure, so a broken disk is retried at the pace the
+	// log grows rather than on every write.
+	checkpointAt int
+	// delta collects the ops acked while a checkpoint persists: exactly
+	// what the compacted log must keep.
+	delta         []dynhl.Op
+	checkpointing bool
+	closed        bool
+	wg            sync.WaitGroup // in-flight checkpoint + recovery-probe goroutines
+	// closeCh is closed by Close; the recovery probe selects on it so
+	// shutdown never waits out a probe interval.
 	closeCh chan struct{}
 
 	// Degraded read-only mode (mu-guarded; degradedFlag mirrors
@@ -176,24 +152,17 @@ type updater struct {
 	degradedReason string
 	probing        bool
 
-	// Rebuild retry state: consecutive failures drive a capped
-	// exponential backoff; retryTimer is the pending retry (nil if none).
-	rebuildFails int
-	retryTimer   *time.Timer
-
 	// Monitoring counters (read lock-free by /stats).
-	epoch          atomic.Uint64
-	rebuilds       atomic.Int64
-	rebuildErrs    atomic.Int64
-	lastRebuildNs  atomic.Int64
-	acceptedTotal  atomic.Int64
-	degradedFlag   atomic.Bool
-	writesRejected atomic.Int64
-	recoveries     atomic.Int64
+	epoch            atomic.Uint64
+	checkpoints      atomic.Int64
+	checkpointErrs   atomic.Int64
+	lastCheckpointNs atomic.Int64
+	acceptedTotal    atomic.Int64
+	degradedFlag     atomic.Bool
+	writesRejected   atomic.Int64
+	recoveries       atomic.Int64
 
-	// Deletion and labelling-maintenance counters. The maintenance pair
-	// accumulates across background rebuilds (which replace up.dyn and
-	// reset its own Maint counters), so /stats never goes backwards.
+	// Deletion and labelling-maintenance counters.
 	acceptedDeletes   atomic.Int64
 	deletedTotal      atomic.Int64
 	selRepairs        atomic.Int64
@@ -218,35 +187,42 @@ func NewLive(ix *core.Index, cfg LiveConfig) (*Server, error) {
 		return fail(fmt.Errorf("serve: live conversion: %w", err))
 	}
 	s := newServer(ix, ix.Graph().NumVertices(), cfg.Config)
-	up := &updater{cfg: cfg, dyn: dyn, wal: cfg.WAL, lastGraph: ix.Graph(),
-		baseEntries: ix.NumEntries(), closeCh: make(chan struct{})}
+	up := &updater{cfg: cfg, dyn: dyn, wal: cfg.WAL, published: ix, closeCh: make(chan struct{})}
 	s.up = up
 	up.epoch.Store(cfg.EpochBase)
 	if cfg.EpochBase != 0 {
-		s.snap.Store(newSnapshot(ix, cfg.EpochBase))
+		s.snap.Store(newSnapshot(ix, ix.Graph().NumVertices(), cfg.EpochBase))
 	}
 	if up.wal != nil {
+		up.checkpointAt = up.checkpointThreshold()
 		if rec := up.wal.Recovered(); len(rec) > 0 {
 			if _, err := dyn.ApplyOps(rec); err != nil {
 				return fail(fmt.Errorf("serve: wal replay: %w", err))
 			}
-			g, fresh, err := dyn.Freeze()
+			_, fresh, err := dyn.Freeze()
 			if err != nil {
 				return fail(fmt.Errorf("serve: wal replay freeze: %w", err))
 			}
-			up.lastGraph = g
-			epoch := up.epoch.Add(1)
-			s.snap.Store(newSnapshot(fresh, epoch))
+			s.publishLocked(fresh)
 		}
-		up.sinceRebuild = up.wal.Len()
 	}
 	return s, nil
 }
 
+// publishLocked (mu held, or before the server is shared) makes ix the
+// served snapshot at the next epoch and returns that epoch.
+func (s *Server) publishLocked(ix *core.Index) uint64 {
+	up := s.up
+	up.published = ix
+	epoch := up.epoch.Add(1)
+	s.snap.Store(newSnapshot(ix, ix.Graph().NumVertices(), epoch))
+	return epoch
+}
+
 // LoadLive assembles a live server from files: it loads the newest
-// persisted state (the WAL's compacted snapshot pair if a rebuild wrote
-// one, else the base graph+index files), opens the WAL at walPath and
-// replays it. This is the crash-recovery entry point hlserve uses; the
+// persisted state (the snapshot a checkpoint wrote next to the WAL if
+// there is one, else the base graph+index files), opens the WAL at
+// walPath and replays it. This is the crash-recovery entry point hlserve uses; the
 // combination (snapshot ⊕ WAL replay) always reconstructs exactly the
 // acknowledged edge set, because compaction persists the snapshot
 // before truncating the log and replay is idempotent.
@@ -273,7 +249,7 @@ func LoadLive(graphPath, indexPath, walPath string, cfg LiveConfig) (*Server, er
 	return NewLive(ix, cfg) // NewLive owns (and closes) the WAL on failure
 }
 
-// snapMagic heads the single-file graph+index snapshot a rebuild
+// snapMagic heads the single-file graph+index snapshot a checkpoint
 // persists next to the WAL. One file, one atomic rename: the graph and
 // the labelling can never be on disk out of step with each other,
 // which a two-file scheme could not guarantee across a crash.
@@ -363,12 +339,13 @@ func (s *Server) DeleteEdges(edges [][2]int32) (DeleteResult, error) {
 
 // mutate is the single writer path shared by InsertEdges and
 // DeleteEdges: validate → WAL append (one fsync) → apply to the dynamic
-// labelling → publish snapshot → bump counters → maybe kick a rebuild.
+// labelling → publish snapshot → bump counters → maybe checkpoint.
 func (s *Server) mutate(ops []dynhl.Op) (dynhl.OpResult, uint64, error) {
 	if s.up == nil {
 		return dynhl.OpResult{}, 0, ErrReadOnly
 	}
-	n := s.n.Load()
+	// Writes add edges, never vertices, so a live server's n is fixed.
+	n := s.snap.Load().n
 	for _, op := range ops {
 		if op.A < 0 || int64(op.A) >= n || op.B < 0 || int64(op.B) >= n {
 			return dynhl.OpResult{}, 0, fmt.Errorf("%w: {%d,%d} outside [0,%d)", ErrEdgeRange, op.A, op.B, n)
@@ -407,13 +384,11 @@ func (s *Server) mutate(ops []dynhl.Op) (dynhl.OpResult, uint64, error) {
 		// machine honest anyway.
 		return dynhl.OpResult{}, 0, err
 	}
-	g, fresh, err := up.dyn.Freeze()
+	_, fresh, err := up.dyn.Freeze()
 	if err != nil {
 		return dynhl.OpResult{}, 0, fmt.Errorf("serve: freeze: %w", err)
 	}
-	up.lastGraph = g
-	epoch := up.epoch.Add(1)
-	s.snap.Store(newSnapshot(fresh, epoch))
+	epoch := s.publishLocked(fresh)
 	if up.cfg.OnCommit != nil {
 		// Under mu: commits reach the hook strictly in epoch order,
 		// before the write is acked, which is what lets the cluster
@@ -421,7 +396,6 @@ func (s *Server) mutate(ops []dynhl.Op) (dynhl.OpResult, uint64, error) {
 		up.cfg.OnCommit(epoch, ops)
 	}
 
-	up.sinceRebuild += len(ops)
 	var dels int64
 	for _, op := range ops {
 		if op.Del {
@@ -436,10 +410,10 @@ func (s *Server) mutate(ops []dynhl.Op) (dynhl.OpResult, uint64, error) {
 	} else if res.Dirty > 0 {
 		up.selRepairs.Add(1)
 	}
-	if up.rebuilding {
+	if up.checkpointing {
 		up.delta = append(up.delta, ops...)
 	}
-	s.maybeRebuild(fresh.NumEntries())
+	up.maybeCheckpointLocked()
 	return res, epoch, nil
 }
 
@@ -516,211 +490,71 @@ func (s *Server) Degraded() bool {
 	return s.up != nil && s.up.degradedFlag.Load()
 }
 
-// rebuildThreshold resolves the configured accepted-edge trigger.
-func (up *updater) rebuildThreshold() int {
+// checkpointThreshold resolves the configured WAL-length trigger; 0
+// means never.
+func (up *updater) checkpointThreshold() int {
 	switch {
-	case up.cfg.RebuildThreshold == 0:
-		return DefaultRebuildThreshold
-	case up.cfg.RebuildThreshold < 0:
-		return 0 // disabled
+	case up.cfg.CheckpointThreshold == 0:
+		return DefaultCheckpointThreshold
+	case up.cfg.CheckpointThreshold < 0:
+		return 0
 	default:
-		return up.cfg.RebuildThreshold
+		return up.cfg.CheckpointThreshold
 	}
 }
 
-// rebuildGrowth resolves the configured label-entry growth trigger.
-func (up *updater) rebuildGrowth() float64 {
-	if up.cfg.RebuildGrowth == 0 {
-		return DefaultRebuildGrowth
-	}
-	if up.cfg.RebuildGrowth <= 1 {
-		return 0 // disabled
-	}
-	return up.cfg.RebuildGrowth
-}
-
-// maybeRebuild (mu held) checks the staleness triggers and kicks off the
-// background rebuild goroutine if one is due and none is running.
-func (s *Server) maybeRebuild(entries int64) {
-	up := s.up
-	if up.rebuilding || up.closed {
+// maybeCheckpointLocked (mu held) starts a background checkpoint once
+// the WAL has reached the trigger length and none is in flight.
+func (up *updater) maybeCheckpointLocked() {
+	if up.checkpointAt == 0 || up.checkpointing || up.closed || up.wal.Len() < up.checkpointAt {
 		return
 	}
-	if up.retryTimer != nil {
-		// A failed rebuild is waiting out its backoff; letting the count
-		// trigger re-fire on every write would turn the backoff into a
-		// retry storm.
-		return
-	}
-	due := false
-	if th := up.rebuildThreshold(); th > 0 && up.sinceRebuild >= th {
-		due = true
-	}
-	if gf := up.rebuildGrowth(); gf > 1 && up.baseEntries > 0 &&
-		float64(entries) >= gf*float64(up.baseEntries) {
-		due = true
-	}
-	if !due {
-		return
-	}
-	up.rebuilding = true
-	up.delta = up.delta[:0]
-	g := up.lastGraph // frozen: safe to read outside the lock
-	lms := append([]int32(nil), up.dyn.Landmarks()...)
+	up.checkpointing = true
 	up.wg.Add(1)
-	go s.rebuild(g, lms)
+	go up.checkpoint(up.published)
 }
 
-// scheduleRebuildRetryLocked (mu held) arms a one-shot timer that
-// restarts the background rebuild after a capped exponential backoff:
-// base·2^(fails-1), clamped to the configured max. The failed rebuild
-// keeps serving its old snapshot in the meantime — a rebuild failure is
-// an availability event for *freshness*, never for reads.
-func (s *Server) scheduleRebuildRetryLocked() {
-	up := s.up
-	up.rebuildFails++
-	if up.closed || up.retryTimer != nil {
-		return
-	}
-	base := up.cfg.RebuildRetryBase
-	if base <= 0 {
-		base = DefaultRebuildRetryBase
-	}
-	maxWait := up.cfg.RebuildRetryMax
-	if maxWait <= 0 {
-		maxWait = DefaultRebuildRetryMax
-	}
-	wait := base
-	for i := 1; i < up.rebuildFails && wait < maxWait; i++ {
-		wait *= 2
-	}
-	if wait > maxWait {
-		wait = maxWait
-	}
-	up.retryTimer = time.AfterFunc(wait, func() {
-		up.mu.Lock()
-		defer up.mu.Unlock()
-		up.retryTimer = nil
-		if up.closed || up.rebuilding {
-			return
-		}
-		up.rebuilding = true
-		up.delta = up.delta[:0]
-		g := up.lastGraph
-		lms := append([]int32(nil), up.dyn.Landmarks()...)
-		up.wg.Add(1)
-		go s.rebuild(g, lms)
-	})
-}
-
-// rebuild runs the full direction-optimizing parallel builder over a
-// frozen graph, then swaps the fresh index in. Writes keep landing on
-// the old state while it runs; the batches accepted in the meantime
-// (up.delta) are replayed onto the fresh index before it is published,
-// so the swap is never a step backwards. With a WAL configured, the
-// fresh snapshot is persisted and the log compacted down to the delta.
-func (s *Server) rebuild(g *graph.Graph, landmarks []int32) {
-	up := s.up
+// checkpoint persists ix — the snapshot published when the WAL reached
+// its trigger length — and compacts the log to the ops acked since
+// (up.delta). It builds nothing, publishes nothing and moves no epoch:
+// dynamic repair already keeps the served labelling identical to a
+// from-scratch build (DESIGN.md "Live updates"), so all that is left
+// is bounding the log and the restart replay.
+//
+// The snapshot is written outside the writer lock (ix is immutable, so
+// the disk write stalls no writer); the compaction runs under it, so no
+// append interleaves with the log rewrite. Order is what makes it crash
+// safe: the log shrinks only after the snapshot is durably on disk,
+// and a crash in between replays the old, longer log against the new
+// snapshot, which is idempotent. If either step fails the full log
+// stays and the next attempt waits until it has grown by another
+// threshold.
+func (up *updater) checkpoint(ix *core.Index) {
 	defer up.wg.Done()
 	start := time.Now()
-	err := failpoint.Eval(FPRebuild)
-	var ix *core.Index
-	if err == nil {
-		ix, err = core.BuildOpts(context.Background(), g, landmarks,
-			core.Options{Workers: up.cfg.RebuildWorkers})
-	}
-	var dyn *dynhl.Index
-	if err == nil {
-		dyn, err = dynhl.FromCore(ix)
-	}
-	// Persist the rebuilt base BEFORE taking the writer lock: g and ix
-	// are immutable, so the (possibly long) disk write must not stall
-	// InsertEdges or /stats. Order still matters for crash safety —
-	// once the snapshot is durably on disk, compacting the log (under
-	// the lock, below) cannot lose edges; a crash in between is benign
-	// because replaying the old, longer log against the new snapshot
-	// is idempotent.
-	persisted := false
-	if err == nil && up.wal != nil {
-		if perr := writeSnapshot(up.wal.SnapshotPath(), g, ix, up.wal); perr == nil {
-			persisted = true
-		} else {
-			up.rebuildErrs.Add(1)
-		}
-	}
+	err := writeSnapshot(up.wal.SnapshotPath(), ix.Graph(), ix, up.wal)
 
 	up.mu.Lock()
 	defer up.mu.Unlock()
-	up.rebuilding = false
-	if up.closed {
-		return
+	delta := up.delta
+	up.delta, up.checkpointing = nil, false
+	if err == nil {
+		err = up.wal.CompactTo(delta)
 	}
 	if err != nil {
-		// The old state keeps serving; the failure is surfaced in /stats
-		// and the retry timer brings the rebuild back with backoff.
-		up.rebuildErrs.Add(1)
-		up.delta = nil
-		s.scheduleRebuildRetryLocked()
+		up.checkpointErrs.Add(1)
+		up.checkpointAt = up.wal.Len() + up.checkpointThreshold()
 		return
 	}
-	delta := up.delta
-	up.delta = nil
-	fresh, freshGraph := ix, g
-	if len(delta) > 0 {
-		if _, err := dyn.ApplyOps(delta); err != nil {
-			up.rebuildErrs.Add(1)
-			s.scheduleRebuildRetryLocked()
-			return
-		}
-		freshGraph, fresh, err = dyn.Freeze()
-		if err != nil {
-			up.rebuildErrs.Add(1)
-			s.scheduleRebuildRetryLocked()
-			return
-		}
-	}
-	up.dyn = dyn
-	up.lastGraph = freshGraph
-	up.baseEntries = fresh.NumEntries()
-	up.sinceRebuild = len(delta)
-	epoch := up.epoch.Add(1)
-	s.snap.Store(newSnapshot(fresh, epoch))
-
-	if up.wal != nil && persisted {
-		// Shrink the log to the delta. Skipped when the snapshot
-		// persist failed: the full log plus the old base still
-		// reconstruct everything, so failing to compact is safe and
-		// failing to compact *after a failed persist* would not be.
-		if err := up.wal.CompactTo(delta); err != nil {
-			up.rebuildErrs.Add(1)
-		}
-	}
-	up.rebuilds.Add(1)
-	up.lastRebuildNs.Store(int64(time.Since(start)))
-	if up.wal != nil && !persisted {
-		// The index was published but the snapshot persist failed, so the
-		// log could not be compacted and will grow without bound; retry
-		// the whole rebuild (with backoff) until a snapshot lands.
-		s.scheduleRebuildRetryLocked()
-		return
-	}
-	up.rebuildFails = 0
-}
-
-// Rebuilding reports whether a background rebuild is in flight.
-func (s *Server) Rebuilding() bool {
-	if s.up == nil {
-		return false
-	}
-	s.up.mu.Lock()
-	defer s.up.mu.Unlock()
-	return s.up.rebuilding
+	up.checkpointAt = up.checkpointThreshold()
+	up.checkpoints.Add(1)
+	up.lastCheckpointNs.Store(int64(time.Since(start)))
 }
 
 // Close shuts the writer side down: it waits for an in-flight
-// background rebuild to finish and closes the WAL. Reads keep working
-// against the last snapshot; InsertEdges returns ErrClosed afterwards.
-// Close is a no-op on read-only servers.
+// checkpoint and the recovery probe to finish and closes the WAL.
+// Reads keep working against the last snapshot; InsertEdges returns
+// ErrClosed afterwards. Close is a no-op on read-only servers.
 func (s *Server) Close() error {
 	if s.up == nil {
 		return nil
@@ -732,10 +566,6 @@ func (s *Server) Close() error {
 		return nil
 	}
 	up.closed = true
-	if up.retryTimer != nil {
-		up.retryTimer.Stop()
-		up.retryTimer = nil
-	}
 	close(up.closeCh)
 	up.mu.Unlock()
 	up.wg.Wait()
@@ -745,18 +575,19 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// LiveStats is the snapshot/WAL/rebuild section of /stats, present only
-// on live servers.
+// LiveStats is the snapshot/WAL/checkpoint section of /stats, present
+// only on live servers.
 type LiveStats struct {
-	Epoch             uint64  `json:"epoch"`
-	AcceptedEdges     int64   `json:"accepted_edges"`
-	EdgesSinceRebuild int     `json:"edges_since_rebuild"`
-	WALEnabled        bool    `json:"wal_enabled"`
-	WALLen            int     `json:"wal_len"`
-	Rebuilds          int64   `json:"rebuilds"`
-	RebuildErrors     int64   `json:"rebuild_errors"`
-	Rebuilding        bool    `json:"rebuilding"`
-	LastRebuildMs     float64 `json:"last_rebuild_ms"`
+	Epoch         uint64 `json:"epoch"`
+	AcceptedEdges int64  `json:"accepted_edges"`
+	WALEnabled    bool   `json:"wal_enabled"`
+	WALLen        int    `json:"wal_len"`
+	// Checkpoints counts snapshots persisted next to the WAL with the
+	// log compacted behind them; CheckpointErrors counts attempts whose
+	// persist or compaction failed (the full log stays in place).
+	Checkpoints      int64   `json:"checkpoints"`
+	CheckpointErrors int64   `json:"checkpoint_errors"`
+	LastCheckpointMs float64 `json:"last_checkpoint_ms"`
 
 	// Deletion counters: accepted delete ops (whole batches, including
 	// no-ops) and edges actually removed.
@@ -764,8 +595,7 @@ type LiveStats struct {
 	EdgesDeleted    int64 `json:"edges_deleted"`
 	// Labelling-maintenance counters for the decremental path: write
 	// batches repaired per-landmark vs. batches that tripped the dirty
-	// fraction and rebuilt every landmark inline (distinct from the
-	// background Rebuilds above).
+	// fraction and rebuilt every landmark inline.
 	SelectiveRepairs  int64 `json:"selective_repairs"`
 	MaintFullRebuilds int64 `json:"maint_full_rebuilds"`
 
@@ -776,11 +606,6 @@ type LiveStats struct {
 	DegradedReason string `json:"degraded_reason,omitempty"`
 	WritesRejected int64  `json:"writes_rejected"`
 	Recoveries     int64  `json:"recoveries"`
-
-	// RebuildFails counts consecutive background-rebuild failures (reset
-	// on success); while non-zero a capped-exponential-backoff retry is
-	// pending or running.
-	RebuildFails int `json:"rebuild_fails_consecutive"`
 
 	// WAL is the log's own counters (nil when running without one).
 	WAL *WALStats `json:"wal,omitempty"`
@@ -797,12 +622,10 @@ func (s *Server) LiveStats() *LiveStats {
 	st := &LiveStats{
 		Epoch:             up.epoch.Load(),
 		AcceptedEdges:     up.acceptedTotal.Load(),
-		EdgesSinceRebuild: up.sinceRebuild,
 		WALEnabled:        up.wal != nil,
-		Rebuilds:          up.rebuilds.Load(),
-		RebuildErrors:     up.rebuildErrs.Load(),
-		Rebuilding:        up.rebuilding,
-		LastRebuildMs:     float64(up.lastRebuildNs.Load()) / 1e6,
+		Checkpoints:       up.checkpoints.Load(),
+		CheckpointErrors:  up.checkpointErrs.Load(),
+		LastCheckpointMs:  float64(up.lastCheckpointNs.Load()) / 1e6,
 		AcceptedDeletes:   up.acceptedDeletes.Load(),
 		EdgesDeleted:      up.deletedTotal.Load(),
 		SelectiveRepairs:  up.selRepairs.Load(),
@@ -811,7 +634,6 @@ func (s *Server) LiveStats() *LiveStats {
 		DegradedReason:    up.degradedReason,
 		WritesRejected:    up.writesRejected.Load(),
 		Recoveries:        up.recoveries.Load(),
-		RebuildFails:      up.rebuildFails,
 	}
 	if up.wal != nil {
 		st.WALLen = up.wal.Len()

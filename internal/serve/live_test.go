@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -250,9 +251,9 @@ func TestLiveRestartReplaysWAL(t *testing.T) {
 	g, lms, ix := liveBase(t, 500, 8)
 	graphPath, indexPath, walPath := saveBase(t, g, ix)
 
-	// Disable rebuilds: this test isolates the replay path (the stress
-	// test covers replay ⊕ compaction together).
-	cfg := LiveConfig{RebuildThreshold: -1, RebuildGrowth: 1}
+	// Disable checkpoints: this test isolates the replay path (the
+	// stress test covers replay ⊕ compaction together).
+	cfg := LiveConfig{CheckpointThreshold: -1}
 	srvA, err := LoadLive(graphPath, indexPath, walPath, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -324,18 +325,27 @@ func TestLiveRestartReplaysWAL(t *testing.T) {
 // pairKey packs a query pair for the monotonicity map.
 func pairKey(s, t int32) int64 { return int64(s)<<32 | int64(uint32(t)) }
 
-// TestLiveStressRebuildAndRestart is the -race stress test of the
+// checkpointIdle reports whether no checkpoint is in flight.
+func checkpointIdle(s *Server) bool {
+	s.up.mu.Lock()
+	defer s.up.mu.Unlock()
+	return !s.up.checkpointing
+}
+
+// TestLiveStressCheckpointAndRestart is the -race stress test of the
 // acceptance criteria: concurrent POST /edges and GET /distance traffic,
 // a kill + restart mid-stream, and threshold-triggered background
-// rebuilds. It verifies that
+// checkpoints. It verifies that
 //
-//	(a) the replayed WAL yields distances identical to a from-scratch
-//	    dynamic build over the same edge sequence, and
-//	(b) rebuilds hot-swap without a reader ever observing an HTTP
-//	    error, a distance increase (edges are only added, so any
-//	    regression means a stale or torn snapshot), or — right after a
-//	    write is acknowledged — an answer older than that write.
-func TestLiveStressRebuildAndRestart(t *testing.T) {
+//	(a) the restart from the checkpoint's snapshot plus the compacted
+//	    WAL yields distances identical to a from-scratch dynamic build
+//	    over the same edge sequence, and
+//	(b) snapshots swap and checkpoints run without a reader ever
+//	    observing an HTTP error, a distance increase (edges are only
+//	    added, so any regression means a stale or torn snapshot), or —
+//	    right after a write is acknowledged — an answer older than that
+//	    write.
+func TestLiveStressCheckpointAndRestart(t *testing.T) {
 	const (
 		nVertices  = 600
 		batches    = 30
@@ -347,8 +357,8 @@ func TestLiveStressRebuildAndRestart(t *testing.T) {
 	g, lms, ix := liveBase(t, nVertices, 10)
 	graphPath, indexPath, walPath := saveBase(t, g, ix)
 	// Threshold low enough that both the pre-kill and post-restart
-	// phases trigger background rebuilds under the stream.
-	cfg := LiveConfig{RebuildThreshold: 40, RebuildWorkers: 2}
+	// phases trigger checkpoints under the stream.
+	cfg := LiveConfig{CheckpointThreshold: 40}
 
 	srv, err := LoadLive(graphPath, indexPath, walPath, cfg)
 	if err != nil {
@@ -484,23 +494,35 @@ func TestLiveStressRebuildAndRestart(t *testing.T) {
 	}
 	stopReaders()
 
-	// Kill mid-stream. A real crash would also tear down the in-flight
-	// rebuild; Close waits for it instead — the WAL bytes on disk are
-	// the same either way, because every acknowledged append was already
-	// fsynced (torn-tail crashes are covered by the WAL unit tests).
-	rebuildsBeforeKill := srv.LiveStats().Rebuilds
+	// Kill mid-stream. A real crash would also tear down an in-flight
+	// checkpoint; Close waits for it instead — either way the snapshot
+	// and log on disk reconstruct every acknowledged write, because
+	// every append was already fsynced and the log only shrinks behind
+	// a durable snapshot (torn-tail crashes are covered by the WAL unit
+	// tests and the chaos harness).
 	ts.Close()
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// 75 writes against a threshold of 40: the first phase checkpoints
+	// at least once, so the restart below loads the persisted snapshot
+	// plus a log compacted behind it.
+	before := srv.LiveStats()
+	if before.Checkpoints == 0 || before.CheckpointErrors != 0 {
+		t.Fatalf("pre-kill checkpoints: %+v", before)
+	}
+	if _, err := os.Stat(walPath + ".snap"); err != nil {
+		t.Fatalf("no checkpoint snapshot on disk: %v", err)
+	}
 
-	// Restart: load whatever is on disk (compacted snapshot + compacted
-	// WAL if a rebuild finished, base files + full WAL otherwise).
 	srv2, err := LoadLive(graphPath, indexPath, walPath, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv2.Close()
+	if got, total := srv2.LiveStats().WALLen, killAfter*batchSize; got >= total {
+		t.Fatalf("restart replayed %d records, want a log compacted below %d", got, total)
+	}
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
 
@@ -527,19 +549,10 @@ func TestLiveStressRebuildAndRestart(t *testing.T) {
 		t.Error(err)
 	}
 
-	// Wait out any in-flight rebuild, then check the lifecycle counters:
-	// the stream must have triggered at least one background rebuild
-	// somewhere, and none may have failed.
-	deadline := time.Now().Add(30 * time.Second)
-	for srv2.Rebuilding() && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	st := srv2.LiveStats()
-	if st.RebuildErrors != 0 {
-		t.Fatalf("rebuild errors: %+v", st)
-	}
-	if rebuildsBeforeKill+st.Rebuilds == 0 {
-		t.Fatalf("no background rebuild triggered (before kill: %d, after: %+v)", rebuildsBeforeKill, st)
+	// Wait out any in-flight checkpoint: none may have failed.
+	waitFor(t, 30*time.Second, "checkpoint to finish", func() bool { return checkpointIdle(srv2) })
+	if st := srv2.LiveStats(); st.CheckpointErrors != 0 {
+		t.Fatalf("checkpoint errors: %+v", st)
 	}
 
 	// Final full equality sweep against the from-scratch reference.
@@ -593,57 +606,160 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestGrowthTriggeredRebuild drives the label-entry growth trigger:
-// with the count trigger disabled and a growth factor barely above 1,
-// densifying the graph must still kick off a background rebuild.
-func TestGrowthTriggeredRebuild(t *testing.T) {
+// TestCheckpointOnWALThreshold pins the checkpoint trigger: it fires
+// when the WAL reaches the threshold, compacts the log to nothing when
+// no write races it, and never fires without a WAL or with a negative
+// threshold.
+func TestCheckpointOnWALThreshold(t *testing.T) {
 	_, _, ix := liveBase(t, 300, 6)
-	s, err := NewLive(ix, LiveConfig{RebuildThreshold: -1, RebuildGrowth: 1.02})
+	insert := func(s *Server, k int) {
+		t.Helper()
+		for i := 0; i < k; i++ {
+			if _, err := s.InsertEdges([][2]int32{{int32(i), int32(150 + i)}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	// No WAL, or a negative threshold: writes far past the threshold
+	// never start a checkpoint.
+	noWAL, err := NewLive(ix, LiveConfig{CheckpointThreshold: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	insert(noWAL, 10)
+	if !checkpointIdle(noWAL) || noWAL.LiveStats().Checkpoints != 0 {
+		t.Fatalf("server without a WAL checkpointed: %+v", noWAL.LiveStats())
+	}
+	noWAL.Close()
+	dir := t.TempDir()
+	wal, err := OpenWAL(filepath.Join(dir, "off.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, err := NewLive(ix, LiveConfig{WAL: wal, CheckpointThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	insert(off, 10)
+	if !checkpointIdle(off) || off.LiveStats().Checkpoints != 0 || off.LiveStats().WALLen != 10 {
+		t.Fatalf("disabled checkpoints ran: %+v", off.LiveStats())
+	}
+	off.Close()
+
+	wal, err = OpenWAL(filepath.Join(dir, "on.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewLive(ix, LiveConfig{WAL: wal, CheckpointThreshold: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	rng := rand.New(rand.NewSource(13))
-	deadline := time.Now().Add(30 * time.Second)
-	for s.LiveStats().Rebuilds == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("no growth-triggered rebuild after %d accepted edges; stats %+v",
-				s.LiveStats().AcceptedEdges, s.LiveStats())
-		}
-		edges := make([][2]int32, 20)
-		for i := range edges {
-			edges[i] = [2]int32{rng.Int31n(300), rng.Int31n(300)}
-		}
-		if _, err := s.InsertEdges(edges); err != nil {
-			t.Fatal(err)
-		}
+	insert(s, 4)
+	if !checkpointIdle(s) {
+		t.Fatal("checkpoint started below the threshold")
 	}
-	if st := s.LiveStats(); st.RebuildErrors != 0 {
-		t.Fatalf("rebuild errors: %+v", st)
+	insert(s, 1)
+	waitFor(t, 10*time.Second, "checkpoint", func() bool { return s.LiveStats().Checkpoints == 1 })
+	if st := s.LiveStats(); st.WALLen != 0 || st.CheckpointErrors != 0 {
+		t.Fatalf("after checkpoint: %+v", st)
+	}
+	if _, err := os.Stat(wal.SnapshotPath()); err != nil {
+		t.Fatalf("no snapshot persisted: %v", err)
 	}
 }
 
-func TestRunLoadMixed(t *testing.T) {
+// TestCheckpointRestartByteIdentical: after a mixed insert/delete
+// stream that checkpoints, a restart from the snapshot plus the
+// compacted WAL serves a labelling whose on-disk bytes equal a
+// from-scratch build over the acked edge set.
+func TestCheckpointRestartByteIdentical(t *testing.T) {
+	g, lms, ix := liveBase(t, 300, 8)
+	graphPath, indexPath, walPath := saveBase(t, g, ix)
+	cfg := LiveConfig{CheckpointThreshold: 10}
+	srv, err := LoadLive(graphPath, indexPath, walPath, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(21))
+	live := newLiveEdges(g)
+	acked := 0
+	for r := 0; r < 20; r++ {
+		ops := randOpBatch(rng, int32(g.NumVertices()), live)
+		if err := sendOps(srv, ops); err != nil {
+			t.Fatal(err)
+		}
+		live.ack(ops)
+		acked += len(ops)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.LiveStats(); st.Checkpoints == 0 || st.CheckpointErrors != 0 {
+		t.Fatalf("stream did not checkpoint cleanly: %+v", st)
+	}
+
+	srv2, err := LoadLive(graphPath, indexPath, walPath, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close()
+	if got := srv2.LiveStats().WALLen; got >= acked {
+		t.Fatalf("restart replayed %d records, want a log compacted below %d", got, acked)
+	}
+	_, served, _, err := srv2.FrozenState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := core.BuildParallel(graph.MustFromEdges(g.NumVertices(), live.list), lms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, want bytes.Buffer
+	if err := served.WriteFormat(&got, core.FormatV2); err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.WriteFormat(&want, core.FormatV2); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("restarted labelling differs from a from-scratch build (%d vs %d bytes)", got.Len(), want.Len())
+	}
+}
+
+// TestCheckpointKeepsEpoch: a checkpoint publishes nothing, so the
+// served epoch stays the last one OnCommit saw — a replicating primary
+// never runs ahead of the batches it has shipped.
+func TestCheckpointKeepsEpoch(t *testing.T) {
 	_, _, ix := liveBase(t, 300, 6)
-	s, err := NewLive(ix, LiveConfig{RebuildThreshold: -1})
+	wal, err := OpenWAL(filepath.Join(t.TempDir(), "edges.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seen atomic.Uint64
+	s, err := NewLive(ix, LiveConfig{
+		WAL:                 wal,
+		CheckpointThreshold: 3,
+		EpochBase:           7 << 32,
+		OnCommit:            func(epoch uint64, _ []dynhl.Op) { seen.Store(epoch) },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	st, err := s.RunLoadMixed(io.Discard, 3000, 9, 3, 0.05)
-	if err != nil {
-		t.Fatal(err)
+	for i := int32(0); i < 8; i++ {
+		if _, err := s.InsertEdges([][2]int32{{i, 200 + i}}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if st.Pairs != 3000 {
-		t.Fatalf("Pairs = %d, want 3000", st.Pairs)
+	waitFor(t, 10*time.Second, "checkpoints to finish", func() bool {
+		return checkpointIdle(s) && s.LiveStats().Checkpoints >= 1
+	})
+	if got, want := s.Epoch(), seen.Load(); got != want || got != 7<<32+8 {
+		t.Fatalf("Epoch() = %d after checkpoints, OnCommit last saw %d (want %d)", got, want, uint64(7<<32+8))
 	}
-	if st.Writes == 0 || st.Epoch == 0 {
-		t.Fatalf("mixed load issued no writes: %+v", st)
-	}
-
-	// Read-only servers refuse the mixed mode.
-	ro := New(ix, Config{})
-	if _, err := ro.RunLoadMixed(io.Discard, 10, 1, 1, 0.5); err != ErrReadOnly {
-		t.Fatalf("read-only mixed load: %v, want ErrReadOnly", err)
+	if _, _, epoch, err := s.FrozenState(); err != nil || epoch != seen.Load() {
+		t.Fatalf("FrozenState epoch = %d (%v), want %d", epoch, err, seen.Load())
 	}
 }

@@ -106,19 +106,19 @@ func (s *Server) replicationStats() *ReplicationStats {
 }
 
 // Publish atomically swaps the served snapshot for ix at the given
-// epoch, adjusting the vertex range checks to the new index. It is how
-// a follower makes replicated state visible to its readers; live
-// servers publish through their own write path instead and must not mix
-// the two.
+// epoch; the vertex range checks move with it, because reads validate
+// against the snapshot they answer from. It is how a follower makes
+// replicated state visible to its readers; live servers publish through
+// their own write path instead and must not mix the two.
 func (s *Server) Publish(ix method.DistanceIndex, epoch uint64) {
-	s.n.Store(int64(ix.Stats().NumVertices))
-	s.snap.Store(newSnapshot(ix, epoch))
+	s.snap.Store(newSnapshot(ix, ix.Stats().NumVertices, epoch))
 }
 
-// FrozenState freezes and returns the live server's current graph,
-// index and epoch — the state a primary streams to a follower that
-// needs a full resync. The returned graph and index are immutable; the
-// epoch is the snapshot epoch they correspond to.
+// FrozenState returns the live server's published graph, index and
+// epoch — the state a primary streams to a follower that needs a full
+// resync. Every write publishes a frozen index, so this is a lookup,
+// not a freeze. The returned graph and index are immutable; the epoch
+// is the snapshot epoch they correspond to.
 func (s *Server) FrozenState() (*graph.Graph, *core.Index, uint64, error) {
 	up := s.up
 	if up == nil {
@@ -129,11 +129,7 @@ func (s *Server) FrozenState() (*graph.Graph, *core.Index, uint64, error) {
 	if up.closed {
 		return nil, nil, 0, ErrClosed
 	}
-	g, ix, err := up.dyn.Freeze()
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("serve: freeze: %w", err)
-	}
-	return g, ix, up.epoch.Load(), nil
+	return up.published.Graph(), up.published, up.epoch.Load(), nil
 }
 
 // EncodeSnapshot streams the single-file graph+index snapshot format
@@ -150,7 +146,7 @@ func EncodeSnapshot(w io.Writer, g *graph.Graph, ix *core.Index) error {
 }
 
 // DecodeSnapshot reads a snapshot produced by EncodeSnapshot (or
-// persisted by a rebuild).
+// persisted by a checkpoint).
 func DecodeSnapshot(r io.Reader) (*graph.Graph, *core.Index, error) {
 	// One shared buffered reader for all three sections: the graph and
 	// index decoders each call bufio.NewReaderSize, which reuses this

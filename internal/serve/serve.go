@@ -43,13 +43,13 @@
 // The WAL makes acknowledged writes durable: appends are batched into
 // one fsync per accepted request, and LoadLive replays the log through
 // dynhl.FromCore on startup, so a crash loses nothing that was
-// acknowledged. When accumulated drift passes a staleness threshold
-// (accepted-edge count or label-entry growth; see LiveConfig), the
-// server rebuilds the index from scratch in the background with the
-// direction-optimizing parallel builder, hot-swaps the fresh snapshot,
-// persists it next to the WAL and compacts the log — bounding both
-// memory fragmentation and restart replay time. See DESIGN.md for the
-// full lifecycle.
+// acknowledged. Once the log reaches a length threshold (see
+// LiveConfig.CheckpointThreshold), a background checkpoint persists
+// the snapshot already being served next to the WAL and compacts the
+// log to the writes acked since, bounding restart replay time. The
+// checkpoint builds nothing: dynamic repair keeps the served labelling
+// identical to a from-scratch build, so there is nothing to rebuild.
+// Epochs move only on writes. See DESIGN.md for the full lifecycle.
 //
 // All cross-request state is either immutable (snapshots), atomic
 // (counters, the snapshot pointer) or mutex-held (the writer state), so
@@ -102,35 +102,61 @@ const DefaultMaxBatch = 100_000
 // Config.ShutdownGrace is zero.
 const DefaultShutdownGrace = 5 * time.Second
 
-// snapshot is one immutable published state of the server: an index and
-// the searcher pool bound to it. The index is any method's DistanceIndex
-// — the server never looks past the interface on the read path, which is
-// what lets hlserve -method serve every labelling through one machinery.
-// Searchers hold scratch state sized and aimed at one specific index, so
-// every snapshot owns its own pool and a checked-out Searcher is always
-// returned to the snapshot it came from.
+// snapshot is one immutable published state of the server: an index,
+// its vertex count and the searcher pool bound to it. The index is any
+// method's DistanceIndex — the server never looks past the interface on
+// the read path, which is what lets hlserve -method serve every
+// labelling through one machinery. Searchers hold scratch state sized
+// and aimed at one specific index, so every snapshot owns its own pool
+// and a checked-out Searcher is always returned to the snapshot it came
+// from. Reads validate vertex ids against the n of the snapshot they
+// answer from: a follower's Publish can swap in an index of a different
+// size between any two loads, so n must travel with the index.
 type snapshot struct {
 	ix        method.DistanceIndex
+	n         int64
 	epoch     uint64
 	searchers sync.Pool
 }
 
-func newSnapshot(ix method.DistanceIndex, epoch uint64) *snapshot {
-	sn := &snapshot{ix: ix, epoch: epoch}
+func newSnapshot(ix method.DistanceIndex, n int, epoch uint64) *snapshot {
+	sn := &snapshot{ix: ix, n: int64(n), epoch: epoch}
 	sn.searchers.New = func() any { return ix.NewSearcher() }
 	return sn
 }
+
+// checkVertex validates a vertex id against the snapshot's vertex set.
+func (sn *snapshot) checkVertex(v int32) error {
+	if v < 0 || int64(v) >= sn.n {
+		return fmt.Errorf("vertex %d %w [0,%d)", v, errOutOfRange, sn.n)
+	}
+	return nil
+}
+
+// checkPairs validates every endpoint of a pair batch, returning the
+// index of the first bad pair.
+func (sn *snapshot) checkPairs(pairs [][2]int32) (int, error) {
+	for i, p := range pairs {
+		if err := sn.checkVertex(p[0]); err != nil {
+			return i, err
+		}
+		if err := sn.checkVertex(p[1]); err != nil {
+			return i, err
+		}
+	}
+	return -1, nil
+}
+
+// errOutOfRange is wrapped by every query-side vertex range error, so
+// the listeners can tell a client's bad vertex id from a cancelled
+// batch.
+var errOutOfRange = errors.New("out of range")
 
 // Server serves exact distance queries from an atomically swappable
 // index snapshot. Create one with New (read-only) or NewLive/LoadLive
 // (updatable); the zero value is not usable.
 type Server struct {
 	cfg Config
-	// n is the served vertex count. Inserts add edges, not vertices, so
-	// it is constant on live servers — but a replication follower
-	// replaces its whole state when it installs a streamed snapshot
-	// (Publish), so reads load it atomically.
-	n atomic.Int64
 
 	// snap is the current read state. Readers Load it once per request
 	// and work against that immutable snapshot; writers publish a new
@@ -177,10 +203,9 @@ func newServer(ix method.DistanceIndex, n int, cfg Config) *Server {
 		cfg.ShutdownGrace = DefaultShutdownGrace
 	}
 	s := &Server{cfg: cfg, started: time.Now()}
-	s.n.Store(int64(n))
 	s.readGate.budget = resolveBudget(cfg.ReadBudget, DefaultReadBudget)
 	s.writeGate.budget = resolveBudget(cfg.WriteBudget, DefaultWriteBudget)
-	s.snap.Store(newSnapshot(ix, 0))
+	s.snap.Store(newSnapshot(ix, n, 0))
 	return s
 }
 
@@ -189,8 +214,10 @@ func newServer(ix method.DistanceIndex, n int, cfg Config) *Server {
 // immutable and stays valid.
 func (s *Server) Index() method.DistanceIndex { return s.snap.Load().ix }
 
-// Epoch returns the current snapshot epoch: 0 at startup, incremented
-// every time a write or a background rebuild publishes a new snapshot.
+// Epoch returns the current snapshot epoch: 0 at startup (or the
+// configured EpochBase), incremented by every accepted write batch —
+// nothing else publishes on a live server — and set by each replicated
+// state a follower installs.
 func (s *Server) Epoch() uint64 { return s.snap.Load().epoch }
 
 // acquire loads the current snapshot and checks a Searcher out of its
@@ -211,16 +238,17 @@ func (s *Server) release(sn *snapshot, sr method.Searcher) { sn.searchers.Put(sr
 // snapshot. It is the programmatic equivalent of GET /distance and safe
 // for concurrent use.
 func (s *Server) Distance(sv, tv int32) (int32, error) {
-	if err := s.checkVertex(sv); err != nil {
-		return core.Infinity, err
-	}
-	if err := s.checkVertex(tv); err != nil {
-		return core.Infinity, err
-	}
 	sn, sr := s.acquire()
-	d := sr.Distance(sv, tv)
+	err := sn.checkVertex(sv)
+	if err == nil {
+		err = sn.checkVertex(tv)
+	}
+	d := core.Infinity
+	if err == nil {
+		d = sr.Distance(sv, tv)
+	}
 	s.release(sn, sr)
-	return d, nil
+	return d, err
 }
 
 // DistanceBatch answers len(pairs) queries with one searcher checkout
@@ -241,27 +269,17 @@ func (s *Server) DistanceBatch(pairs [][2]int32, dst []int32) ([]int32, error) {
 // cancelled ctx abandons the remaining pairs within about one chunk.
 // On cancellation it returns ctx.Err() and the prefix of answers
 // already computed (dst truncated; answers are valid for their pairs).
+// Vertex ids are validated against the same snapshot that answers.
 func (s *Server) DistanceBatchContext(ctx context.Context, pairs [][2]int32, dst []int32) ([]int32, error) {
 	if len(pairs) > s.cfg.MaxBatch {
 		return nil, fmt.Errorf("batch of %d pairs exceeds limit %d", len(pairs), s.cfg.MaxBatch)
 	}
-	if i, err := s.checkPairs(pairs); err != nil {
+	sn, sr := s.acquire()
+	defer s.release(sn, sr)
+	if i, err := sn.checkPairs(pairs); err != nil {
 		return nil, fmt.Errorf("pair %d: %w", i, err)
 	}
-	sn, sr := s.acquire()
-	dst, err := method.DistanceBatchContext(ctx, sr, pairs, dst)
-	s.release(sn, sr)
-	return dst, err
-}
-
-// checkVertex validates a vertex id against the served vertex set
-// (inserts add edges, never vertices; only a follower's Publish can
-// change n).
-func (s *Server) checkVertex(v int32) error {
-	if n := s.n.Load(); v < 0 || int64(v) >= n {
-		return fmt.Errorf("vertex %d out of range [0,%d)", v, n)
-	}
-	return nil
+	return method.DistanceBatchContext(ctx, sr, pairs, dst)
 }
 
 // ListenAndServe serves the HTTP API on addr until ctx is cancelled,

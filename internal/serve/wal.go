@@ -192,8 +192,8 @@ func (w *WAL) Len() int { return w.records }
 // Path returns the log's file path.
 func (w *WAL) Path() string { return w.path }
 
-// SnapshotPath returns the path of the compacted graph+index snapshot
-// written next to the log by a background rebuild (a single file, so
+// SnapshotPath returns the path of the graph+index snapshot a
+// checkpoint writes next to the log (a single file, so
 // the graph and the index can never be persisted out of step). LoadLive
 // prefers it over the base files when it exists.
 func (w *WAL) SnapshotPath() string { return w.path + ".snap" }
